@@ -1,0 +1,8 @@
+"""Make the benchmark's modules and the program importable by name."""
+import sys
+from pathlib import Path
+
+_BENCH = Path(__file__).resolve().parents[1]
+for p in (_BENCH.parent / "src", _BENCH):
+    if str(p) not in sys.path:
+        sys.path.insert(0, str(p))
