@@ -1,4 +1,10 @@
-"""Attribute closure and data preservability (paper §5.2, Condition I).
+"""The chase, attribute closure and data preservability (paper §5.2).
+
+:func:`chase` is the one fixpoint behind every closure in the decision
+layer: ``clo`` here, QCS support (§8.1), ``GET`` (§6.1) and plan
+generation (§6.2). Each applies the same rule — once a KV schema's key
+attributes are known, all its attributes are known — over its own
+notion of "attribute".
 
 ``clo(~R, ~R)`` is the closure of ``att(~R)`` under the rule: if
 ``pk(~R') ⊆ clo`` for some KV schema ``~R'`` then ``att(~R') ⊆ clo``.
@@ -11,23 +17,39 @@ Condition (I): ``~R`` is data preserving for ``R`` iff every relation
 """
 from __future__ import annotations
 
+from collections.abc import Set
 from typing import Iterable
 
 from .schema import Attr, BaaVSchema, Catalog, KVSchema, qualify
 
 
+def chase(known: set, rules: Iterable[tuple[object, Set, Set]]) -> list:
+    """Apply ``rules`` to ``known`` (in place) until a fixpoint.
+
+    Rules are tried in order, round after round; a rule fires at most
+    once, when ``needs ⊆ known``, and adds ``gives`` to ``known``. A
+    firing is recorded even when ``gives`` adds nothing (GET's trace
+    lists every applicable step). Returns the fired tags in firing order.
+    """
+    pending = list(rules)
+    fired = []
+    while True:
+        left = []
+        for tag, needs, gives in pending:
+            if needs <= known:
+                known |= gives
+                fired.append(tag)
+            else:
+                left.append((tag, needs, gives))
+        if len(left) == len(pending):
+            return fired
+        pending = left
+
+
 def clo(kv: KVSchema, schemas: Iterable[KVSchema]) -> frozenset[Attr]:
     """``clo(~R, ~R)`` per Condition (I)'s inductive definition."""
-    schemas = list(schemas)
     out: set[Attr] = set(kv.attrs)
-    changed = True
-    while changed:
-        changed = False
-        for other in schemas:
-            pk_attrs = qualify(other.relation, other.pk_cols)
-            if pk_attrs <= out and not other.attrs <= out:
-                out |= other.attrs
-                changed = True
+    chase(out, [(o, qualify(o.relation, o.pk_cols), o.attrs) for o in schemas])
     return frozenset(out)
 
 

@@ -1,23 +1,20 @@
-"""KBA: the algebra of keyed blocks (paper §4.2).
+"""KBA: the algebra of keyed blocks (paper §4.2, Example 2).
 
 Operators act on :class:`KV` pairs — a KV schema plus the flattened
 DataFrame of its instance (the *relational version*; see
 ``core.baav``). Extension (``∝``) and shift (``↑``) are the two
-operators unique to KBA; join/select/project/union/difference/group-by
-are the RA operators lifted to keyed blocks by transforming between KV
-instances and relations on the fly, exactly as §4.2 prescribes.
-
-Set-like operators (union, difference, and the implicit set semantics
-of the paper's algebra) use DISTINCT; the executors in ``core.plan``
-use bag semantics end-to-end instead (DESIGN.md §2) — this module is
-the faithful algebra used by the algebra tests (Example 2).
+operators unique to KBA; join is the RA join lifted to keyed blocks by
+transforming between KV instances and relations on the fly, as §4.2
+prescribes. These are the operators of Example 2, which the algebra
+tests replay. Query plans do not run through this module: the metered
+executor in ``core.plan`` realizes extension as keyed fetches and does
+σ, π, ⋈ and group-by itself, with bag semantics (DESIGN.md §2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from .schema import KVSchema
 
@@ -89,49 +86,3 @@ def join(d1: KV, d2: KV, on: tuple[str, ...]) -> KV:
     value = tuple(c for c in d1.columns + d2.columns if c not in key)
     value = tuple(dict.fromkeys(value))
     return KV(_schema(key, value), out)
-
-
-def select(d: KV, condition: str) -> KV:
-    """σ over the relational version; schema unchanged."""
-    return KV(d.kv, d.df.where(condition))
-
-
-def project(d: KV, attrs: tuple[str, ...], key: tuple[str, ...]) -> KV:
-    """π onto ``attrs`` re-keyed by ``key ⊆ attrs`` (set semantics)."""
-    if not set(key) <= set(attrs) or not set(attrs) <= set(d.columns):
-        raise ValueError("bad projection")
-    value = tuple(c for c in attrs if c not in key)
-    return KV(_schema(tuple(key), value), d.df.select(*attrs).distinct())
-
-
-def union(d1: KV, d2: KV) -> KV:
-    """Set union; d2 is shifted to d1's key distribution first (the
-    paper's stated purpose of ↑)."""
-    if set(d1.columns) != set(d2.columns):
-        raise ValueError("union needs identical attribute sets")
-    d2a = shift(d2, d1.kv.key)
-    return KV(
-        d1.kv, d1.df.unionByName(d2a.df.select(*d1.columns)).distinct()
-    )
-
-
-def difference(d1: KV, d2: KV) -> KV:
-    """Set difference, aligned via shift like :func:`union`."""
-    if set(d1.columns) != set(d2.columns):
-        raise ValueError("difference needs identical attribute sets")
-    d2a = shift(d2, d1.kv.key)
-    return KV(d1.kv, d1.df.distinct().exceptAll(d2a.df.select(*d1.columns).distinct()))
-
-
-def group_by(
-    d: KV, keys: tuple[str, ...], aggs: dict[str, tuple[str, str]]
-) -> KV:
-    """Group-by aggregate (RA_aggr lifted to BaaV): ``aggs`` maps output
-    name -> (func, column) with func in sum/count/min/max/avg. Result is
-    keyed by the grouping attributes."""
-    exprs = []
-    for out, (func, col) in aggs.items():
-        fn = getattr(F, func if func != "avg" else "avg")
-        exprs.append(fn(F.lit(1) if col == "*" else col).alias(out))
-    res = d.df.groupBy(*keys).agg(*exprs)
-    return KV(_schema(tuple(keys), tuple(aggs)), res)

@@ -48,13 +48,3 @@ class PlanCost:
 def speedup(cost: PlanCost, p_from: int, p_to: int) -> float:
     """T_par(p_from) / T_par(p_to) — Theorem 8 predicts ≈ p_to/p_from."""
     return cost.t_par(p_from) / cost.t_par(p_to)
-
-
-def is_parallel_scalable(cost: PlanCost, ps: list[int], tol: float = 1e-9) -> bool:
-    """Check T_par(p) ≤ T_seq/p + comm/p (the O(T_seq/p) bound) for all
-    p — exact under the model, a sanity check used by tests."""
-    for p in ps:
-        bound = cost.t_seq() / p + cost.comm_bytes / (p * DEFAULT_BANDWIDTH_BPS)
-        if cost.t_par(p) > bound + tol:
-            return False
-    return True

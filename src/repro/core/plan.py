@@ -26,7 +26,6 @@ from pyspark.sql import functions as F
 
 from ..nosql.kvstore import BaaVStore
 from .query import (
-    Aggregate,
     Atom,
     EqClasses,
     Filter,
@@ -108,8 +107,7 @@ class KBAPlan:
 class _Frontier:
     """Execution state: the running natural join of plan operations."""
 
-    def __init__(self, store: BaaVStore) -> None:
-        self.store = store
+    def __init__(self) -> None:
         self.df: DataFrame | None = None
 
     def merge(self, other: DataFrame) -> None:
@@ -158,7 +156,7 @@ def execute(plan: KBAPlan, store: BaaVStore) -> DataFrame:
     Returns a DataFrame whose columns match ``query.to_sql()`` output
     (same names, same bag of rows).
     """
-    fr = _Frontier(store)
+    fr = _Frontier()
     pending = list(plan.filters)
 
     def apply_filters() -> None:
@@ -169,8 +167,7 @@ def execute(plan: KBAPlan, store: BaaVStore) -> DataFrame:
         for f in list(pending):
             col = rep_col(plan.ec.find(f.attr))
             if col in fr.df.columns:
-                op = "!=" if f.op == "<>" else f.op
-                fr.df = fr.df.where(_filter_expr(col, op, f.value))
+                fr.df = fr.df.where(_compare(col, f.op, f.value))
                 pending.remove(f)
 
     for op in plan.ops:
@@ -192,15 +189,16 @@ def execute(plan: KBAPlan, store: BaaVStore) -> DataFrame:
     return _finalize(plan, fr.df)
 
 
-def _filter_expr(col: str, op: str, value: object):
-    c = F.col(col)
-    v = F.lit(value)
+def _compare(col: str, op: str, value: object):
+    """``col op value`` for a query comparison op (filters and HAVING)."""
+    c, v = F.col(col), F.lit(value)
     return {
         "<": c < v,
         "<=": c <= v,
         ">": c > v,
         ">=": c >= v,
-        "!=": c != v,
+        "<>": c != v,
+        "=": c == v,
     }[op]
 
 
@@ -236,23 +234,10 @@ def _finalize(plan: KBAPlan, df: DataFrame) -> DataFrame:
                 exprs.append(fn(F.col(f"__agg_{i}")).alias(g.alias))
         out = grouped.groupBy(*[attr_name(a) for a in q.group_by]).agg(*exprs)
         for alias, op, v in q.having:
-            sql_op = "!=" if op == "<>" else ("==" if op == "=" else op)
-            out = out.where(_having_expr(alias, sql_op, v))
+            out = out.where(_compare(alias, op, v))
         return out
     # plain SPC
     out = df.select(
         *[F.col(_minq_col(plan, a)).alias(attr_name(a)) for a in q.projection]
     )
     return out.dropDuplicates() if q.distinct else out
-
-
-def _having_expr(col: str, op: str, value: object):
-    c, v = F.col(col), F.lit(value)
-    return {
-        "<": c < v,
-        "<=": c <= v,
-        ">": c > v,
-        ">=": c >= v,
-        "!=": c != v,
-        "==": c == v,
-    }[op]

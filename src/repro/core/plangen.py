@@ -5,12 +5,13 @@ for ``Q``, generate a :class:`~repro.core.plan.KBAPlan`:
 
 1. minimize the (max SPC sub-)query — Condition (II)/(III) are stated
    over ``min(Q)``;
-2. chase from the constant classes: repeatedly pick, for an unfetched
-   atom, a covering KV schema whose key classes are already derivable
-   (``GET`` rules, §6.1) — each pick is an extension ``∝``;
-3. atoms left unreachable are given scan leaves over a covering KV
-   schema (rule (3) of §6.2); their attributes then feed further
-   extensions (scan-free *sub-plans* of non-scan-free queries, §5.1).
+2. chase from the constant classes with the ``GET`` rule (§6.1) over
+   each atom's covering KV schemas, narrowest first: the first cover of
+   an atom to fire is its extension ``∝``;
+3. when no cover fires, the first remaining atom (in ``min(Q)`` order)
+   gets a scan leaf over its narrowest cover (rule (3) of §6.2), and
+   the chase resumes from its attributes (scan-free *sub-plans* of
+   non-scan-free queries, §5.1).
 
 Per DESIGN.md, an atom is "covered" by a single KV schema with
 ``X^{min(Q)}_R ⊆ att(~R)`` (the workload schemas are designed so such
@@ -20,9 +21,10 @@ this coincides with Condition (III) for such schemas.
 """
 from __future__ import annotations
 
+from .closure import chase
 from .minimize import minimize
 from .plan import FetchOp, KBAPlan, PlanOp, ScanOp, SeedOp, rep_col
-from .query import Atom, GroupByQuery, Query, SPCQuery, spc_of
+from .query import Atom, Query, SPCQuery, spc_of
 from .schema import Attr, BaaVSchema, Catalog, KVSchema
 
 
@@ -73,37 +75,32 @@ def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
     if seed_cols:
         ops.append(SeedOp(tuple(sorted(seed_cols.items()))))
 
+    def cls(atom: Atom, cols: tuple[str, ...]) -> set[Attr]:
+        return {ec.find((atom.alias, c)) for c in cols}
+
+    # A later cover of an already fetched atom may fire as well; it adds
+    # only that atom's classes, which the winning cover made derivable
+    # already or which no other atom shares (X_Q holds every shared one).
     derivable: set[Attr] = {ec.find(a) for a, _ in minq.const}
     remaining: list[Atom] = list(minq.atoms)
-
-    def try_fetch_round() -> bool:
-        progressed = False
-        for atom in list(remaining):
-            for kv in covers[atom.alias]:
-                key_classes = {ec.find((atom.alias, c)) for c in kv.key}
-                if key_classes <= derivable:
-                    key_cols = tuple(
-                        (c, rep_col(ec.find((atom.alias, c)))) for c in kv.key
-                    )
-                    ops.append(FetchOp(atom, kv, key_cols))
-                    derivable.update(
-                        ec.find((atom.alias, c)) for c in kv.columns
-                    )
-                    remaining.remove(atom)
-                    progressed = True
-                    break
-        return progressed
-
     while remaining:
-        if try_fetch_round():
-            continue
-        # No atom fetchable: scan the one whose cover unlocks the most
-        # derivable classes (ties: stable atom order).
-        atom = remaining[0]
-        kv = covers[atom.alias][0]
-        ops.append(ScanOp(atom, kv))
-        derivable.update(ec.find((atom.alias, c)) for c in kv.columns)
-        remaining.remove(atom)
+        rules = [
+            ((atom, kv), cls(atom, kv.key), cls(atom, kv.columns))
+            for atom in remaining
+            for kv in covers[atom.alias]
+        ]
+        for atom, kv in chase(derivable, rules):
+            if atom in remaining:
+                key_cols = tuple(
+                    (c, rep_col(ec.find((atom.alias, c)))) for c in kv.key
+                )
+                ops.append(FetchOp(atom, kv, key_cols))
+                remaining.remove(atom)
+        if remaining:
+            atom = remaining.pop(0)
+            kv = covers[atom.alias][0]
+            ops.append(ScanOp(atom, kv))
+            derivable |= cls(atom, kv.columns)
 
     plan = KBAPlan(
         query=q,

@@ -1,4 +1,4 @@
-"""Scan-free and bounded query characterization (paper §6.1).
+"""Scan-free query characterization (paper §6.1).
 
 - ``GET(Q, ~R)``: attributes of ``Q`` retrievable from ``~R`` with
   scan-free plans, computed as a fixpoint over equality classes:
@@ -14,14 +14,15 @@
   ``min(Q)`` has ``X^{min(Q)}_R ⊆ W`` for some ``W ∈ VC(min(Q), ~R)``.
 - Theorem 5 (effective syntax): an RA_aggr query is scan-free iff its
   max SPC sub-query is.
-- Boundedness (§6.1 corollary): scan-free + relevant instances have
-  degree ≤ c.
+
+Boundedness (§6.1 corollary) depends on the blocks a plan fetches, so it
+is decided on the generated plan (``plangen.plan_is_bounded``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .closure import clo as _rel_clo
+from .closure import chase, clo as _rel_clo
 from .minimize import minimize
 from .query import Atom, EqClasses, Query, SPCQuery, spc_of
 from .schema import Attr, BaaVSchema, Catalog, KVSchema
@@ -63,28 +64,24 @@ def get_closure(q: SPCQuery, schema: BaaVSchema) -> GetResult:
     chasing sequences converge to the same GET/VC (Theorem 6 / [2]).
     """
     ec = q.eq_classes()
-    in_get: set[Attr] = set()
     # rule (a): classes carrying a constant
-    for a, _ in q.const:
-        in_get.add(ec.find(a))
-    trace: list[ChaseStep] = []
-    applied: set[tuple[str, KVSchema]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for atom in q.atoms:
-            for kv in schema.for_relation(atom.relation):
-                if (atom.alias, kv) in applied:
-                    continue
-                keys = {ec.find((atom.alias, c)) for c in kv.key}
-                if keys <= in_get:
-                    applied.add((atom.alias, kv))
-                    step = ChaseStep(atom, kv)
-                    new = {ec.find(a) for a in step.produced_attrs()}
-                    if not new <= in_get:
-                        in_get |= new
-                        changed = True
-                    trace.append(step)
+    in_get: set[Attr] = {ec.find(a) for a, _ in q.const}
+    steps = [
+        ChaseStep(atom, kv)
+        for atom in q.atoms
+        for kv in schema.for_relation(atom.relation)
+    ]
+    trace = chase(
+        in_get,
+        [
+            (
+                st,
+                {ec.find(a) for a in st.key_attrs()},
+                {ec.find(a) for a in st.produced_attrs()},
+            )
+            for st in steps
+        ],
+    )
     return GetResult(frozenset(in_get), tuple(trace), ec)
 
 
@@ -146,22 +143,3 @@ def scan_free_report(q: Query, catalog: Catalog, schema: BaaVSchema) -> ScanFree
 
 def is_scan_free(q: Query, catalog: Catalog, schema: BaaVSchema) -> bool:
     return scan_free_report(q, catalog, schema).scan_free
-
-
-def is_bounded(
-    q: Query,
-    catalog: Catalog,
-    schema: BaaVSchema,
-    degrees: dict[KVSchema, int],
-    c: int,
-) -> bool:
-    """Bounded query check (§6.1): scan-free, and every KV instance whose
-    blocks a scan-free plan may fetch has degree ≤ c. ``degrees`` maps
-    KV schemas to deg of their instances (store-level information)."""
-    rep = scan_free_report(q, catalog, schema)
-    if not rep.scan_free:
-        return False
-    for step in rep.get.trace:
-        if degrees.get(step.kv, 0) > c:
-            return False
-    return True

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..core.parallel import PlanCost
+from ..core.parallel import PlanCost, speedup
 from ..runner import build_context, run_baseline, run_zidian, warm
 from ..workloads import WORKLOADS
 
@@ -60,7 +60,7 @@ def run(
             }
             for p in ps:
                 row[f"Tpar_p{p}_ms"] = round(cost.t_par(p) * 1e3, 4)
-            row["speedup_4_to_12"] = round(cost.t_par(4) / cost.t_par(12), 2)
+            row["speedup_4_to_12"] = round(speedup(cost, 4, 12), 2)
             rows.append(row)
         finally:
             ctx.close()

@@ -17,7 +17,7 @@ from .core.query import Query
 from .nosql.kvstore import BaaVStore, TaaVStore
 from .nosql.sqllayer import BaselineResult, evaluate_baseline
 from .nosql.zidian import Zidian, ZidianResult
-from .workloads.common import Template, Workload
+from .workloads.common import Workload
 
 
 @dataclass
@@ -74,10 +74,3 @@ def oracle_check(ctx: RunContext, q: Query, df: DataFrame) -> None:
 
     tables = {a.relation: ctx.pdfs[a.relation] for a in q.atoms}
     assert_equivalent(df, q.to_sql(), **tables)
-
-
-def run_template_both(
-    ctx: RunContext, t: Template, param: object | None = None
-) -> tuple[BaselineResult, ZidianResult, Query]:
-    q = t.instantiate(param)
-    return run_baseline(ctx, q), run_zidian(ctx, q), q

@@ -1,10 +1,25 @@
-"""Tests for clo() and Condition (I) data preservability (paper §5.2)."""
+"""Tests for chase(), clo() and Condition (I) data preservability
+(paper §5.2)."""
 import pytest
 
-from repro.core.closure import clo, is_data_preserving, preserved_relations
+from repro.core.closure import chase, clo, is_data_preserving, preserved_relations
 from repro.core.schema import BaaVSchema, Catalog, KVSchema, RelSchema
 
 CAT = Catalog.of(RelSchema("r", ("a", "b", "c"), ("a",)))
+
+
+def test_chase_fires_each_rule_once_in_rule_order():
+    """Rules fire in order, round after round; a firing that adds nothing
+    is still recorded; a rule whose needs never hold does not fire."""
+    known = {"a"}
+    rules = [
+        ("r1", {"b"}, {"c"}),
+        ("r2", {"a"}, {"b"}),
+        ("r3", {"a"}, set()),
+        ("r4", {"z"}, {"y"}),
+    ]
+    assert chase(known, rules) == ["r2", "r3", "r1"]
+    assert known == {"a", "b", "c"}
 
 
 def test_clo_starts_with_own_attrs():

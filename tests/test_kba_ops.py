@@ -75,66 +75,6 @@ def test_shift_requires_subset(example2):
         kba.shift(r1, ("Z",))
 
 
-def test_select(example2):
-    r1, _, _ = example2
-    out = kba.select(r1, "B > 1")
-    assert _rows(out) == {(1, 2), (2, 3)}
-
-
-def test_project(example2):
-    r1, _, _ = example2
-    out = kba.project(r1, ("A",), ("A",))
-    assert _rows(out) == {(1,), (2,)}
-
-
-def test_union_aligns_keys(spark):
-    d1 = kba.KV(
-        KVSchema("u", ("A",), ("B",)),
-        spark.createDataFrame(pd.DataFrame({"A": [1], "B": [2]})),
-    )
-    d2 = kba.KV(
-        KVSchema("u2", ("B",), ("A",)),
-        spark.createDataFrame(pd.DataFrame({"B": [2, 9], "A": [1, 8]})),
-    )
-    out = kba.union(d1, d2)
-    assert _rows(out) == {(1, 2), (8, 9)}
-
-
-def test_union_requires_same_attrs(spark):
-    d1 = kba.KV(
-        KVSchema("u", ("A",), ("B",)),
-        spark.createDataFrame(pd.DataFrame({"A": [1], "B": [2]})),
-    )
-    d2 = kba.KV(
-        KVSchema("u2", ("C",), ("A",)),
-        spark.createDataFrame(pd.DataFrame({"C": [2], "A": [1]})),
-    )
-    with pytest.raises(ValueError):
-        kba.union(d1, d2)
-
-
-def test_difference(spark):
-    d1 = kba.KV(
-        KVSchema("u", ("A",), ("B",)),
-        spark.createDataFrame(pd.DataFrame({"A": [1, 2], "B": [2, 3]})),
-    )
-    d2 = kba.KV(
-        KVSchema("u2", ("B",), ("A",)),
-        spark.createDataFrame(pd.DataFrame({"B": [2], "A": [1]})),
-    )
-    out = kba.difference(d1, d2)
-    assert _rows(out) == {(2, 3)}
-
-
-def test_group_by(spark):
-    d = kba.KV(
-        KVSchema("g", ("A",), ("B",)),
-        spark.createDataFrame(pd.DataFrame({"A": [1, 1, 2], "B": [10, 20, 30]})),
-    )
-    out = kba.group_by(d, ("A",), {"total": ("sum", "B"), "n": ("count", "*")})
-    assert _rows(out) == {(1, 30, 2), (2, 30, 1)}
-
-
 def test_join_rejects_hidden_shared_attrs(example2):
     r1, _, r3 = example2
     # r1<A,B> and r3<A,C> share only A; joining on () must be rejected

@@ -1,7 +1,7 @@
 """Tests for the parallel cost model (paper §7, Prop 7 / Thm 8)."""
 import pytest
 
-from repro.core.parallel import PlanCost, is_parallel_scalable, speedup
+from repro.core.parallel import PlanCost, speedup
 
 
 def test_t_par_decreases_with_p():
@@ -18,11 +18,6 @@ def test_theorem_8_linear_speedup():
     assert speedup(c, 4, 12) == pytest.approx(3.0)
 
 
-def test_is_parallel_scalable():
-    c = PlanCost(comp_values=10**6, comm_bytes=10**7)
-    assert is_parallel_scalable(c, [1, 2, 4, 8, 12])
-
-
 def test_t_par_rejects_bad_p():
     with pytest.raises(ValueError):
         PlanCost(1, 1.0).t_par(0)
@@ -31,18 +26,6 @@ def test_t_par_rejects_bad_p():
 def test_t_seq_matches_value_cost():
     c = PlanCost(comp_values=100, comm_bytes=0.0)
     assert c.t_seq(value_cost_s=1e-3) == pytest.approx(0.1)
-
-
-def test_measured_plans_are_parallel_scalable(mot_ctx):
-    """Theorem 8 on *measured* meters: both a scan-free and a scanning
-    plan parallelize under the model."""
-    from repro.runner import run_zidian
-
-    for t_name in ("q1", "q8"):
-        q = mot_ctx.workload.template(t_name).instantiate()
-        zr = run_zidian(mot_ctx, q)
-        cost = PlanCost(int(zr.meter["data_values"]), zr.meter["comm_bytes"])
-        assert is_parallel_scalable(cost, [2, 4, 8, 12])
 
 
 def test_bounded_plan_comm_is_constant_sized(mot_ctx):

@@ -68,6 +68,70 @@ def test_plan_fetches_or_scans_every_min_atom_once(wl_name, t_name):
     assert sorted(touched) == sorted(a.alias for a in plan.minq.atoms)
 
 
+@pytest.mark.parametrize(
+    "wl_name,t_name,expected",
+    [
+        (
+            "tpch",
+            "q5",
+            [
+                ("FetchOp", "R", "~region<r_name|r_regionkey>"),
+                ("FetchOp", "N", "~nation<n_regionkey|n_nationkey,n_name>"),
+                ("FetchOp", "S", "~supplier<s_nationkey|s_suppkey,s_acctbal>"),
+                ("FetchOp", "C", "~customer<c_nationkey|c_custkey,c_acctbal>"),
+                (
+                    "FetchOp",
+                    "O",
+                    "~orders<o_custkey|o_orderkey,o_orderstatus,o_totalprice,"
+                    "o_orderdate,o_orderpriority>",
+                ),
+                # the 5-column l_suppkey cover, not the 12-column l_orderkey one
+                (
+                    "FetchOp",
+                    "L",
+                    "~lineitem<l_suppkey|l_orderkey,l_linenumber,"
+                    "l_extendedprice,l_discount>",
+                ),
+            ],
+        ),
+        (
+            "mot",
+            "q12",
+            [
+                (
+                    "ScanOp",
+                    "T",
+                    "~mottest<test_id|vehicle_id,test_date,result,mileage,"
+                    "test_class,station_id>",
+                ),
+                (
+                    "FetchOp",
+                    "V",
+                    "~vehicle<vehicle_id|make,model,fuel,first_use_year,colour>",
+                ),
+                (
+                    "FetchOp",
+                    "S",
+                    "~survey<vehicle_id|obs_id,road_id,region,obs_date,speed>",
+                ),
+            ],
+        ),
+    ],
+    ids=["tpch-q5", "mot-q12"],
+)
+def test_plan_pins_kv_schema_per_op(wl_name, t_name, expected):
+    """The KV schema each op reads decides the meters: pin op kind, atom
+    and schema in plan order."""
+    wl = WORKLOADS[wl_name]
+    plan = generate_plan(wl.template(t_name).instantiate(), wl.catalog, wl.baav)
+    got = [
+        (type(op).__name__, op.atom.alias, op.kv.name)
+        for op in plan.ops
+        if not isinstance(op, SeedOp)
+    ]
+    assert got == expected
+
+
 def test_scan_free_plan_has_constant_leaves_only():
     """§4.2: a scan-free KBA plan's leaves are constants."""
     for t in WORKLOADS["mot"].scan_free_templates():

@@ -1,11 +1,11 @@
 """Tests for GET / VC / Condition (III) scan-free characterization and
-the bounded-query check (paper §6.1, Thms 4–5)."""
+bounded queries (paper §6.1, Thms 4–5)."""
 import pytest
 
+from repro.core.plangen import generate_plan, plan_is_bounded
 from repro.core.query import Aggregate, Atom, Filter, GroupByQuery, SPCQuery
 from repro.core.scanfree import (
     get_closure,
-    is_bounded,
     is_scan_free,
     scan_free_report,
     vc,
@@ -153,6 +153,7 @@ def test_theorem_5_groupby_uses_max_spc():
 
 
 def test_is_bounded_requires_scan_free_and_low_degree():
+    """Boundedness is decided on the generated plan's fetched schemas."""
     cat = Catalog.of(RelSchema("r", ("a", "b"), ("a",)))
     kv = KVSchema("r", ("a",), ("b",))
     schema = BaaVSchema.of(kv)
@@ -161,11 +162,12 @@ def test_is_bounded_requires_scan_free_and_low_degree():
         const=((("R", "a"), 1),),
         projection=(("R", "b"),),
     )
-    assert is_bounded(q, cat, schema, {kv: 5}, c=10)
-    assert not is_bounded(q, cat, schema, {kv: 50}, c=10)
+    plan = generate_plan(q, cat, schema)
+    assert plan_is_bounded(plan, {kv: 5}, c=10)
+    assert not plan_is_bounded(plan, {kv: 50}, c=10)
     # non-scan-free is never bounded
     q2 = SPCQuery(atoms=(Atom("R", "r"),), projection=(("R", "b"),))
-    assert not is_bounded(q2, cat, schema, {kv: 1}, c=10)
+    assert not plan_is_bounded(generate_plan(q2, cat, schema), {kv: 1}, c=10)
 
 
 # -- the paper's workload labels (§9) --------------------------------
